@@ -572,11 +572,11 @@ func (b *BPMS) auditorConfig(opts Options) obs.AuditorConfig {
 	}
 }
 
-// Close stops the auditor and timer runner, drains the history
-// pipeline, and syncs/closes every journal (all shard WALs plus the
-// history stripe journals). Under SyncBatch journals this drains
-// in-flight commit batches: every acknowledged append is on stable
-// storage when Close returns.
+// Close stops the auditor, timer runner and snapshots, drains the
+// history pipeline, and syncs/closes every journal (all shard WALs
+// plus the history stripe journals). Under SyncBatch journals this
+// drains in-flight commit batches: every acknowledged append is on
+// stable storage when Close returns.
 func (b *BPMS) Close() error {
 	if b.Auditor != nil {
 		b.Auditor.Stop()
@@ -589,6 +589,9 @@ func (b *BPMS) Close() error {
 	if b.runner != nil {
 		b.runner.Stop()
 	}
+	// A snapshot still running would truncate a closed journal and
+	// fail-stop its shard.
+	b.Engine.Close()
 	var first error
 	for _, j := range b.state {
 		if err := j.Close(); err != nil && first == nil {

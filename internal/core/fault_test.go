@@ -2,8 +2,10 @@ package core
 
 import (
 	"errors"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"bpms/internal/engine"
 	"bpms/internal/fault"
@@ -195,5 +197,56 @@ func TestRecoveryAfterFailStop(t *testing.T) {
 		if _, err := b2.Engine.Instance(id); err != nil {
 			t.Fatalf("acked instance %s lost after restart: %v", id, err)
 		}
+	}
+}
+
+// TestCloseDuringSnapshot closes the system while a forced snapshot is
+// still writing (its fsyncs slowed down): Close must wait for it, so
+// the snapshot never truncates a closed journal and no shard
+// fail-stops.
+func TestCloseDuringSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	var degraded atomic.Value
+	b, err := Open(Options{
+		DataDir: dir,
+		FS:      fault.NewInjector(fault.OS, fault.Plan{PathContains: "snapshots", FsyncLatency: 150 * time.Millisecond}),
+		OnDegrade: func(shard int, reason string) {
+			degraded.Store(reason)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Engine.Deploy(model.Sequence(1)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if _, err := b.Engine.StartInstance("seq-1", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snapErr := make(chan error, 1)
+	go func() { snapErr <- b.Engine.Snapshot() }()
+	// Close once the snapshot's temp file exists: the writer is busy.
+	snapDir := filepath.Join(dir, "snapshots")
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if names, _ := filepath.Glob(filepath.Join(snapDir, "*.tmp")); len(names) > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("snapshot never started")
+		}
+	}
+	if err := b.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if err := <-snapErr; err != nil {
+		t.Errorf("forced snapshot: %v", err)
+	}
+	if reason := degraded.Load(); reason != nil {
+		t.Fatalf("OnDegrade fired during Close: %v", reason)
+	}
+	if names, _ := filepath.Glob(filepath.Join(snapDir, "*.snap")); len(names) != 1 {
+		t.Errorf("committed snapshots %v, want 1", names)
 	}
 }

@@ -148,6 +148,7 @@ type Engine struct {
 	idSeq           atomic.Uint64
 	tokSeq          atomic.Uint64
 	closing         atomic.Bool
+	snapMu          sync.Mutex // serializes Snapshot
 	snapshotting    atomic.Bool
 	snapshotPending atomic.Bool
 	lastSnapIndex   atomic.Uint64

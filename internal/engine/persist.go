@@ -195,8 +195,9 @@ func (e *Engine) requestSnapshot() {
 func (e *Engine) snapshotLoop() {
 	for {
 		e.snapshotPending.Store(false)
-		if e.degraded.Load() {
+		if e.degraded.Load() || e.closing.Load() {
 			// Frozen: stop churning the failing disk with snapshots.
+			// Closing: the journal is about to go away.
 			e.snapshotting.Store(false)
 			return
 		}
@@ -216,7 +217,7 @@ func (e *Engine) snapshotLoop() {
 // time-based scheduler calls this on every tick; an in-flight snapshot
 // or an idle journal satisfies the tick rather than queueing behind it.
 func (e *Engine) TrySnapshot() bool {
-	if e.snapshots == nil || e.degraded.Load() {
+	if e.snapshots == nil || e.degraded.Load() || e.closing.Load() {
 		return false
 	}
 	if e.journal.LastIndex() == e.lastSnapIndex.Load() {
@@ -229,20 +230,44 @@ func (e *Engine) TrySnapshot() bool {
 	return true
 }
 
+// Close stops the engine's background work before its journal closes
+// (the journal itself belongs to the caller): snapshots requested from
+// now on are skipped and worklist transitions no longer resume
+// instances. It waits for an in-flight snapshot to finish.
+func (e *Engine) Close() {
+	e.closing.Store(true)
+	e.snapMu.Lock()
+	e.snapMu.Unlock()
+}
+
 // Snapshot writes a point-in-time engine image covering the journal's
-// current last index, then drops the covered journal prefix. Each
-// instance is locked just long enough to encode it and the record is
-// streamed straight to the snapshot writer, so memory stays bounded by
-// one instance's state rather than the total image. Instances mutated
-// concurrently are still written — possibly with post-index state —
-// which is safe because replay applies the journal suffix on top with
-// last-write-wins semantics.
+// current last index, then drops the covered journal prefix. Snapshots
+// of one engine run one at a time, and one whose index an earlier
+// snapshot already covers is skipped, so no two writers ever race for
+// an index. Each instance is locked just long enough to encode it and
+// the record is streamed straight to the snapshot writer, so memory
+// stays bounded by one instance's state rather than the total image.
+// Instances mutated concurrently are still written — possibly with
+// post-index state — which is safe because replay applies the journal
+// suffix on top with last-write-wins semantics.
 func (e *Engine) Snapshot() error {
 	if e.snapshots == nil {
 		return fmt.Errorf("engine: no snapshot store configured")
 	}
+	e.snapMu.Lock()
+	defer e.snapMu.Unlock()
+	if e.closing.Load() {
+		return errClosing
+	}
+	// The index is read before the definitions and instances are
+	// listed: both enter their maps before their journal record is
+	// appended, so every record up to index belongs to a listed one.
+	index := e.journal.LastIndex()
+	if index <= e.lastSnapIndex.Load() {
+		return nil
+	}
 	if e.blobSnapshots {
-		return e.snapshotBlob()
+		return e.snapshotBlob(index)
 	}
 	e.mu.RLock()
 	defIDs := make([]string, 0, len(e.definitions))
@@ -265,7 +290,6 @@ func (e *Engine) Snapshot() error {
 	}
 	e.mu.RUnlock()
 
-	index := e.journal.LastIndex()
 	w, err := e.snapshots.Writer(index)
 	if err != nil {
 		e.failStop("snapshot create", err)
@@ -316,10 +340,13 @@ func (e *Engine) Snapshot() error {
 	return nil
 }
 
+// errClosing refuses a snapshot once Close ran.
+var errClosing = errors.New("engine: closing")
+
 // snapshotBlob is the legacy single-blob snapshot path: the whole
 // engine image is marshalled in memory and written in one Write call.
 // Retained only as the seed baseline for experiment T16.
-func (e *Engine) snapshotBlob() error {
+func (e *Engine) snapshotBlob(index uint64) error {
 	img := snapshotImage{}
 	e.mu.RLock()
 	defIDs := make([]string, 0, len(e.definitions))
@@ -341,7 +368,6 @@ func (e *Engine) snapshotBlob() error {
 	}
 	e.mu.RUnlock()
 
-	index := e.journal.LastIndex()
 	for _, inst := range insts {
 		inst.mu.Lock()
 		data, err := e.encodeInstance(inst)

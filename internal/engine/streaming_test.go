@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"bpms/internal/expr"
+	"bpms/internal/fault"
 	"bpms/internal/model"
 	"bpms/internal/storage"
 )
@@ -198,3 +199,95 @@ func TestRequestSnapshotRearm(t *testing.T) {
 		t.Fatalf("no snapshot written for re-armed trigger: sn=%v err=%v", sn, err)
 	}
 }
+
+// commitCounter is a filesystem that counts the renames publishing
+// each snapshot file, i.e. the committed snapshots per index.
+type commitCounter struct {
+	fault.FS
+	mu      sync.Mutex
+	commits map[string]int
+}
+
+func (c *commitCounter) Rename(oldpath, newpath string) error {
+	err := c.FS.Rename(oldpath, newpath)
+	if err == nil {
+		c.mu.Lock()
+		c.commits[filepath.Base(newpath)]++
+		c.mu.Unlock()
+	}
+	return err
+}
+
+// TestConcurrentSnapshotsDoNotFailStop races every snapshot trigger
+// (the append-count trigger, the time-based TrySnapshot, admin
+// Snapshot calls) against starts and against each other on an idle
+// journal. Snapshots of one engine serialize and skip an index already
+// covered, so no trigger loses a race for a temp file or a rename and
+// fail-stops the healthy shard, and each index commits exactly once.
+func TestConcurrentSnapshotsDoNotFailStop(t *testing.T) {
+	dir := t.TempDir()
+	fs := &commitCounter{FS: fault.OS, commits: map[string]int{}}
+	sn, err := storage.OpenSnapshotStoreFS(filepath.Join(dir, "snapshots"), 2, fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, j := openStreamingFixture(t, dir, Config{Snapshots: sn, SnapshotEvery: 3})
+	defer j.Close()
+	if err := e.Deploy(model.Sequence(3)); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	run := func(n int, fn func(i int)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				fn(i)
+			}
+		}()
+	}
+	for w := 0; w < 2; w++ {
+		run(30, func(i int) {
+			if _, err := e.StartInstance("seq-3", nil); err != nil {
+				t.Errorf("start: %v", err)
+			}
+		})
+	}
+	for a := 0; a < 2; a++ {
+		run(10, func(int) {
+			if err := e.Snapshot(); err != nil {
+				t.Errorf("admin snapshot: %v", err)
+			}
+		})
+	}
+	run(50, func(int) { e.TrySnapshot() })
+	wg.Wait()
+	// The idle journal: every trigger now asks for the same index.
+	for a := 0; a < 4; a++ {
+		run(1, func(int) {
+			if err := e.Snapshot(); err != nil {
+				t.Errorf("idle snapshot: %v", err)
+			}
+		})
+		run(1, func(int) { e.TrySnapshot() })
+	}
+	wg.Wait()
+	e.Close() // waits for trigger-started snapshots
+	if e.Degraded() {
+		reason, _ := e.DegradedReason()
+		t.Fatalf("healthy shard fail-stopped: %s", reason)
+	}
+	last := snapshotName(j.LastIndex())
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if fs.commits[last] != 1 {
+		t.Errorf("snapshot at the final index %s committed %d times, want 1", last, fs.commits[last])
+	}
+	for name, n := range fs.commits {
+		if n != 1 {
+			t.Errorf("%s committed %d times, want 1", name, n)
+		}
+	}
+}
+
+func snapshotName(index uint64) string { return fmt.Sprintf("snap-%020d.snap", index) }

@@ -6,11 +6,15 @@ import (
 )
 
 // Append-style event encoding: the audit hot path serialises every
-// engine transition's events, so the store encodes into reusable
-// buffers instead of allocating a fresh one per event the way
-// json.Marshal does. The output is plain JSON and decodes with
-// DecodeEvent; only the Data map (rare on hot-path events) falls back
-// to the reflection encoder.
+// engine transition's events, so the store's committers encode into
+// reusable buffers instead of allocating a fresh one per event the way
+// json.Marshal does. The output is JSON with the Event struct tags'
+// keys and omitempty rules, in field order and without whitespace;
+// only the Data map (carried by routing completions, messages, timers
+// and incidents) goes through json.Marshal. Strings are not
+// HTML-escaped, so the bytes differ from json.Marshal's where a string
+// holds <, >, &, U+2028 or U+2029, but both forms decode to the same
+// event. decode.go holds the inverse.
 
 const hexDigits = "0123456789abcdef"
 
@@ -56,8 +60,8 @@ func appendStringField(buf []byte, name, value string) []byte {
 }
 
 // AppendEncode appends the event's journal encoding to buf and returns
-// the extended buffer. The layout matches Encode (encoding/json with
-// omitempty), so existing journals and DecodeEvent read both forms.
+// the extended buffer. DecodeEvent reads it back, as it reads journals
+// written by encoding/json.
 func AppendEncode(buf []byte, e *Event) ([]byte, error) {
 	buf = append(buf, '{')
 	if e.Index != 0 {

@@ -152,24 +152,12 @@ func NewStriped(journals []storage.Journal, opts StoreOptions) (*Store, error) {
 	// until all stripes recovered, so an error here leaks nothing.
 	for i, j := range journals {
 		st := &stripe{
-			journal:    j,
-			metrics:    opts.Metrics.HistoryStripe(i),
-			window:     opts.Window,
-			byInstance: map[string][]*Event{},
-			instCount:  map[string]int{},
-			byType:     map[EventType]int{},
+			journal: j,
+			metrics: opts.Metrics.HistoryStripe(i),
+			window:  opts.Window,
 		}
 		st.cond = sync.NewCond(&st.mu)
-		err := j.Replay(1, func(index uint64, payload []byte) error {
-			e, err := DecodeEvent(payload)
-			if err != nil {
-				return err
-			}
-			e.Index = index
-			st.indexLocked(e)
-			return nil
-		})
-		if err != nil {
+		if err := st.recover(); err != nil {
 			return nil, err
 		}
 		s.stripes = append(s.stripes, st)
@@ -183,6 +171,54 @@ func NewStriped(journals []storage.Journal, opts StoreOptions) (*Store, error) {
 		}
 	}
 	return s, nil
+}
+
+// recover rebuilds the stripe's indexes from its journal. With a
+// window, only the resident suffix (the last Window records) is decoded
+// and indexed; each record below it only bumps the cumulative counters,
+// from its type and instance ID read in place, with no Event built.
+// Journal indexes are contiguous, so the suffix starts at LastIndex -
+// Window + 1; should the replay come up short of a full window (records
+// lost to a damaged segment), the stripe is rebuilt by full decoding so
+// the resident set is still the last Window records replayed.
+func (st *stripe) recover() error {
+	cut := uint64(0)
+	if last := st.journal.LastIndex(); st.window > 0 && last > uint64(st.window) {
+		cut = last - uint64(st.window) + 1
+	}
+	for {
+		st.ring, st.ramFirst, st.evicted, st.count = nil, 0, 0, 0
+		st.byInstance = map[string][]*Event{}
+		st.instCount = map[string]int{}
+		st.byType = map[EventType]int{}
+		d := &decoder{strs: map[string]string{}, ids: map[string]string{}}
+		err := st.journal.Replay(1, func(index uint64, payload []byte) error {
+			if index < cut {
+				typ, inst, err := d.peek(payload)
+				if err != nil {
+					return err
+				}
+				if inst != "" {
+					st.instCount[inst]++
+				}
+				st.byType[typ]++
+				st.count++
+				st.evicted++
+				return nil
+			}
+			e, err := d.decode(payload)
+			if err != nil {
+				return err
+			}
+			e.Index = index
+			st.indexLocked(e)
+			return nil
+		})
+		if err != nil || cut == 0 || st.evicted == 0 || len(st.ring) == st.window {
+			return err
+		}
+		cut = 0
+	}
 }
 
 // Stripes returns the stripe count.
@@ -474,13 +510,18 @@ func (s *Store) EventsOf(instanceID string) []*Event {
 	// Part of the stripe's history lives only in the journal: replay
 	// indexes below the resident window and keep this instance's
 	// events. The RAM slice is a contiguous suffix, so prefix+suffix
-	// is the complete ordered history.
+	// is the complete ordered history. Records whose raw instance ID
+	// plainly differs are skipped without being decoded.
 	var out []*Event
+	d := newDecoder()
 	err := st.journal.Replay(1, func(index uint64, payload []byte) error {
 		if ramFirst != 0 && index >= ramFirst {
 			return errStopReplay
 		}
-		e, derr := DecodeEvent(payload)
+		if d.skips(payload, instanceID) {
+			return nil
+		}
+		e, derr := d.decode(payload)
 		if derr != nil {
 			return derr
 		}
@@ -514,11 +555,12 @@ func (s *Store) All(fn func(*Event) error) error {
 		ramFirst := st.ramFirst
 		st.mu.RUnlock()
 		if evicted > 0 {
+			d := newDecoder()
 			err := st.journal.Replay(1, func(index uint64, payload []byte) error {
 				if ramFirst != 0 && index >= ramFirst {
 					return errStopReplay
 				}
-				e, derr := DecodeEvent(payload)
+				e, derr := d.decode(payload)
 				if derr != nil {
 					return derr
 				}

@@ -219,90 +219,209 @@ func TestFlushedPrefixSurvivesCrash(t *testing.T) {
 }
 
 // TestWindowEvictionEquivalence proves a bounded store answers
-// queries identically to an unbounded one: evicted ranges are served
-// by journal replay.
+// queries identically to an unbounded one, live and after a reopen:
+// evicted ranges are served by journal replay, and recovery rebuilds
+// the counters of the evicted prefix without decoding it into events.
 func TestWindowEvictionEquivalence(t *testing.T) {
-	dir := t.TempDir()
-	j, err := storage.OpenFileJournal(filepath.Join(dir, "hist"), storage.Options{})
+	events := equivalenceEvents()
+	ref, err := NewStriped(memJournals(1), StoreOptions{Sync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewStriped([]storage.Journal{j}, StoreOptions{Window: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const total = 50
-	want := map[string][]int{}
-	for i := 0; i < total; i++ {
-		id := fmt.Sprintf("i-%d", i%3)
-		if err := s.Append(&Event{Type: ElementCompleted, Time: ts(i),
-			InstanceID: id, Data: map[string]any{"seq": float64(i)}}); err != nil {
+	for _, e := range events {
+		c := *e
+		if err := ref.Append(&c); err != nil {
 			t.Fatal(err)
 		}
-		want[id] = append(want[id], i)
 	}
-	stats := s.Stats()
-	if stats.Resident > 8 {
-		t.Errorf("resident = %d, want <= window 8", stats.Resident)
-	}
-	if stats.Evicted != total-stats.Resident {
-		t.Errorf("evicted = %d resident = %d total = %d", stats.Evicted, stats.Resident, total)
-	}
-	if s.Count() != total {
-		t.Errorf("Count = %d, want %d (counters are cumulative)", s.Count(), total)
-	}
-	// EventsOf must splice journal prefix + RAM suffix into the full
-	// ordered history.
-	for id, seqs := range want {
-		evs := s.EventsOf(id)
-		if len(evs) != len(seqs) {
-			t.Fatalf("%s: %d events, want %d", id, len(evs), len(seqs))
-		}
-		var lastIdx uint64
-		for i, e := range evs {
-			if int(e.Data["seq"].(float64)) != seqs[i] {
-				t.Fatalf("%s: event %d seq %v, want %d", id, i, e.Data["seq"], seqs[i])
+	total := len(events)
+	for _, tc := range []struct {
+		name            string
+		stripes, window int
+	}{
+		{"unbounded", 1, 0},
+		{"below-total", 1, total / 3},
+		{"window-1", 1, 1},
+		{"equal-total", 1, total},
+		{"above-total", 1, total + 5},
+		{"striped-below-total", 2, 8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := NewStriped(fileJournals(t, dir, tc.stripes, storage.Options{}), StoreOptions{Window: tc.window})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if e.Index <= lastIdx {
-				t.Fatalf("%s: indexes not increasing: %d after %d", id, e.Index, lastIdx)
+			for _, e := range events {
+				c := *e
+				if err := s.Append(&c); err != nil {
+					t.Fatal(err)
+				}
 			}
-			lastIdx = e.Index
+			live := s.Stats()
+			if tc.window > 0 && live.Resident > tc.stripes*tc.window {
+				t.Errorf("resident = %d, want <= %d", live.Resident, tc.stripes*tc.window)
+			}
+			if live.Events != total || live.Evicted != total-live.Resident {
+				t.Errorf("live stats %+v, want %d events split into resident and evicted", live, total)
+			}
+			if tc.stripes == 1 {
+				sameAnswers(t, "live", s, ref)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			// Reopen with the same window: the counters-only prefix and
+			// the decoded suffix must reproduce the live store exactly.
+			re, err := NewStriped(fileJournals(t, dir, tc.stripes, storage.Options{}), StoreOptions{Window: tc.window})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := re.Stats(); got != live {
+				t.Errorf("reopened stats %+v, live stats %+v", got, live)
+			}
+			if tc.stripes == 1 {
+				sameAnswers(t, "reopened", re, ref)
+			} else {
+				sameInstanceAnswers(t, "reopened", re, ref)
+			}
+			if err := re.Close(); err != nil {
+				t.Fatal(err)
+			}
+			// A fresh unbounded store over the same journals agrees too.
+			full, err := NewStriped(fileJournals(t, dir, tc.stripes, storage.Options{}), StoreOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer full.Close()
+			sameInstanceAnswers(t, "unbounded reopen", full, ref)
+		})
+	}
+}
+
+// gapJournal hides one record from replays, as a damaged segment
+// whose tail the scan stops at would.
+type gapJournal struct {
+	storage.Journal
+	gap uint64
+}
+
+func (g gapJournal) Replay(from uint64, fn func(uint64, []byte) error) error {
+	return g.Journal.Replay(from, func(index uint64, p []byte) error {
+		if index == g.gap {
+			return nil
+		}
+		return fn(index, p)
+	})
+}
+
+// TestRecoverGapInResidentSuffix: when records are missing from the
+// would-be resident suffix, recovery still keeps the last Window
+// records replayed resident, as a full decode-and-evict replay does.
+func TestRecoverGapInResidentSuffix(t *testing.T) {
+	j := storage.NewMemJournal()
+	for i := 0; i < 20; i++ {
+		p, _ := AppendEncode(nil, &Event{Type: ElementActivated, Time: ts(i), InstanceID: fmt.Sprintf("i-%d", i%3)})
+		if _, err := j.Append(p); err != nil {
+			t.Fatal(err)
 		}
 	}
-	// All streams every event in index order despite eviction.
-	var indexes []uint64
-	if err := s.All(func(e *Event) error {
-		indexes = append(indexes, e.Index)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(indexes) != total {
-		t.Fatalf("All streamed %d events, want %d", len(indexes), total)
-	}
-	for i := 1; i < len(indexes); i++ {
-		if indexes[i] != indexes[i-1]+1 {
-			t.Fatalf("All order broken at %d: %v", i, indexes[i-1:i+1])
-		}
-	}
-	// A fresh unbounded store over the same journal agrees exactly.
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	j2, err := storage.OpenFileJournal(filepath.Join(dir, "hist"), storage.Options{})
+	s, err := NewStriped([]storage.Journal{gapJournal{j, 18}}, StoreOptions{Window: 5, Sync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := NewStriped([]storage.Journal{j2}, StoreOptions{})
-	if err != nil {
+	want := StoreStats{Stripes: 1, Window: 5, Events: 19, Resident: 5, Evicted: 14}
+	if got := s.Stats(); got != want {
+		t.Errorf("Stats = %+v, want %+v", got, want)
+	}
+	if n := len(s.EventsOf("i-2")); n != 5 { // events 2,5,8,11,14; 17 sits at the hidden index 18
+		t.Errorf("EventsOf(i-2) = %d events, want 5", n)
+	}
+}
+
+// equivalenceEvents is a mixed history: instance IDs that prefix each
+// other or need escapes, data-bearing routing events, numeric data
+// (the decoder's slow path) and events of no instance.
+func equivalenceEvents() []*Event {
+	ids := []string{"x-1", "x-10", "x-100", "x\"1", "ẋ-2"}
+	var out []*Event
+	out = append(out, &Event{Type: ProcessDeployed, Time: ts(0), ProcessID: "p"})
+	for i := 0; i < 50; i++ {
+		e := &Event{Type: ElementActivated, Time: ts(i), ProcessID: "p",
+			InstanceID: ids[i%len(ids)], ElementID: fmt.Sprintf("el-%d", i%4), Element: "Check"}
+		switch i % 5 {
+		case 1:
+			e.Type, e.Data = ElementCompleted, map[string]any{"routing": true}
+		case 2:
+			e.Type, e.TaskID, e.Actor = TaskCompleted, fmt.Sprintf("t-%d", i), "alice"
+			e.Data = map[string]any{"seq": float64(i)}
+		case 3:
+			e.Type = MessageCorrelated
+		}
+		out = append(out, e)
+		if i == 25 {
+			out = append(out, &Event{Type: ProcessDeployed, Time: ts(i), ProcessID: "q"})
+		}
+	}
+	return out
+}
+
+// sameAnswers compares every query of a single-stripe store with the
+// reference, event by event.
+func sameAnswers(t *testing.T, when string, got, want *Store) {
+	t.Helper()
+	var all []*Event
+	if err := got.All(func(e *Event) error { all = append(all, e); return nil }); err != nil {
 		t.Fatal(err)
 	}
-	defer full.Close()
-	for id := range want {
-		a, b := len(full.EventsOf(id)), len(want[id])
-		if a != b {
-			t.Errorf("%s: unbounded store has %d events, want %d", id, a, b)
+	var wantAll []*Event
+	if err := want.All(func(e *Event) error { wantAll = append(wantAll, e); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(all, wantAll) {
+		t.Errorf("%s: All streams %d events, want %d (or they differ)", when, len(all), len(wantAll))
+	}
+	sameInstanceAnswers(t, when, got, want)
+}
+
+// sameInstanceAnswers compares the queries that do not depend on the
+// stripe count: counts, instance IDs and every instance's trail.
+func sameInstanceAnswers(t *testing.T, when string, got, want *Store) {
+	t.Helper()
+	if a, b := got.Count(), want.Count(); a != b {
+		t.Errorf("%s: Count = %d, want %d", when, a, b)
+	}
+	for _, typ := range []EventType{ProcessDeployed, ElementActivated, ElementCompleted, TaskCompleted, MessageCorrelated} {
+		if a, b := got.CountByType(typ), want.CountByType(typ); a != b {
+			t.Errorf("%s: CountByType(%s) = %d, want %d", when, typ, a, b)
 		}
+	}
+	ids := want.InstanceIDs()
+	if a := got.InstanceIDs(); !reflect.DeepEqual(a, ids) {
+		t.Errorf("%s: InstanceIDs = %q, want %q", when, a, ids)
+	}
+	for _, id := range ids {
+		a, b := got.EventsOf(id), want.EventsOf(id)
+		if len(a) != len(b) {
+			t.Errorf("%s: EventsOf(%q) = %d events, want %d", when, id, len(a), len(b))
+			continue
+		}
+		for i := range a {
+			// Indexes are per stripe; the rest of each event must match.
+			x, y := *a[i], *b[i]
+			x.Index, y.Index = 0, 0
+			if !reflect.DeepEqual(x, y) {
+				t.Errorf("%s: EventsOf(%q)[%d] = %+v, want %+v", when, id, i, x, y)
+			}
+		}
+		for i := 1; i < len(a); i++ {
+			if a[i].Index <= a[i-1].Index {
+				t.Errorf("%s: EventsOf(%q) indexes not increasing at %d", when, id, i)
+			}
+		}
+	}
+	if err := got.Flush(); err != nil {
+		t.Errorf("%s: Flush: %v", when, err)
 	}
 }
 

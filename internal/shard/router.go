@@ -386,6 +386,14 @@ func (r *Router) TrySnapshot() int {
 	return n
 }
 
+// Close stops every shard's background snapshots and waits for those
+// in flight; call it before closing the shard journals.
+func (r *Router) Close() {
+	for _, s := range r.shards {
+		s.Close()
+	}
+}
+
 // RecoveryDuration reports how long one shard's boot-time recovery
 // took (zero when the shard started fresh).
 func (r *Router) RecoveryDuration(i int) time.Duration {

@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"bpms/internal/fault"
 )
@@ -36,6 +37,7 @@ type SnapshotStore struct {
 	fs     fault.FS
 	mu     sync.Mutex
 	retain int
+	tmpSeq atomic.Uint64 // numbers streaming temp files
 }
 
 // Streaming snapshot file layout:
@@ -164,9 +166,10 @@ type SnapshotWriter struct {
 // Writer starts a streaming snapshot covering journal indices <=
 // index. The caller must finish with Commit or Abort.
 func (s *SnapshotStore) Writer(index uint64) (*SnapshotWriter, error) {
-	// Unique temp name: concurrent writers (e.g. an admin snapshot
-	// racing the append-count trigger) must not clobber each other.
-	tmp := filepath.Join(s.dir, fmt.Sprintf("snap-%020d.tmp", index))
+	// Unique temp name per writer: two writers at one index must not
+	// share a file, or one's rename fails once the other has moved it
+	// into place.
+	tmp := filepath.Join(s.dir, fmt.Sprintf("snap-%020d-%d.tmp", index, s.tmpSeq.Add(1)))
 	f, err := s.fs.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("storage: create snapshot temp: %w", err)

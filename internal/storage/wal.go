@@ -646,10 +646,11 @@ func (j *FileJournal) FirstIndex() uint64 {
 // are deleted.
 func (j *FileJournal) DropBefore(upTo uint64) error {
 	j.mu.Lock()
-	defer j.mu.Unlock()
 	if j.closed {
+		j.mu.Unlock()
 		return ErrClosed
 	}
+	var drop []uint64
 	keep := j.segments[:0]
 	for i, base := range j.segments {
 		// A segment is droppable when the next segment starts at or
@@ -657,9 +658,7 @@ func (j *FileJournal) DropBefore(upTo uint64) error {
 		// not the active segment.
 		droppable := i+1 < len(j.segments) && j.segments[i+1] <= upTo && base != j.activeBase
 		if droppable {
-			if err := j.opts.FS.Remove(filepath.Join(j.dir, segmentName(base))); err != nil {
-				return err
-			}
+			drop = append(drop, base)
 			continue
 		}
 		keep = append(keep, base)
@@ -675,6 +674,15 @@ func (j *FileJournal) DropBefore(upTo uint64) error {
 		j.firstIndex = 0
 	} else {
 		j.firstIndex = j.segments[0]
+	}
+	j.mu.Unlock()
+	// Unlink outside the lock: appends, group commits and durable
+	// writers never wait for the filesystem to free old segments. The
+	// segments already left the index, so no later replay opens them.
+	for _, base := range drop {
+		if err := j.opts.FS.Remove(filepath.Join(j.dir, segmentName(base))); err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -2,7 +2,11 @@ package storage
 
 import (
 	"bytes"
+	"sync"
 	"testing"
+	"time"
+
+	"bpms/internal/fault"
 )
 
 // TestRollSyncsOutgoingSegment verifies that rolling to a new segment
@@ -119,4 +123,67 @@ func TestDropBeforeFirstIndexBoundaries(t *testing.T) {
 			t.Fatalf("FirstIndex=%d after re-seeding append %d", j.FirstIndex(), idx)
 		}
 	})
+}
+
+// blockingRemoveFS holds every Remove until released, like a slow
+// unlink of a large segment.
+type blockingRemoveFS struct {
+	fault.FS
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (b *blockingRemoveFS) Remove(name string) error {
+	b.entered <- struct{}{}
+	<-b.release
+	return b.FS.Remove(name)
+}
+
+// TestDropBeforeUnlinksOutsideLock: while DropBefore is stuck removing
+// a compacted segment, durable appends (group commit included) and
+// replays still complete, because the journal lock is not held across
+// the unlink.
+func TestDropBeforeUnlinksOutsideLock(t *testing.T) {
+	fs := &blockingRemoveFS{FS: fault.OS, entered: make(chan struct{}, 8), release: make(chan struct{})}
+	j, err := OpenFileJournal(t.TempDir(), Options{SegmentSize: 128, Policy: SyncBatch, FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(fs.release) }) }
+	defer release() // before Close, even when the test fails
+	payload := bytes.Repeat([]byte("z"), 40)
+	for i := 0; i < 10; i++ {
+		if _, err := j.Append(payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	upTo := j.LastIndex()
+	dropped := make(chan error, 1)
+	go func() { dropped <- j.DropBefore(upTo) }()
+	<-fs.entered // the first unlink has started and is blocked
+	appended := make(chan error, 1)
+	go func() {
+		_, err := j.AppendDurable(payload)
+		if err == nil {
+			err = j.Replay(j.FirstIndex(), func(uint64, []byte) error { return nil })
+		}
+		appended <- err
+	}()
+	select {
+	case err := <-appended:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("AppendDurable blocked behind DropBefore's unlink")
+	}
+	release()
+	if err := <-dropped; err != nil {
+		t.Fatal(err)
+	}
+	if first := j.FirstIndex(); first > upTo || first == 1 {
+		t.Errorf("FirstIndex = %d after DropBefore(%d)", first, upTo)
+	}
 }
